@@ -9,6 +9,7 @@ import (
 	"pstlbench/internal/core"
 	"pstlbench/internal/exec"
 	"pstlbench/internal/native"
+	"pstlbench/internal/pipeline"
 )
 
 // TestCancelNeverTearsSilently is the cancellation property test: racing a
@@ -129,5 +130,66 @@ func (plainPool) ForChunks(n int, g exec.Grain, body func(worker, lo, hi int)) {
 func (plainPool) Do(fns ...func()) {
 	for _, fn := range fns {
 		fn()
+	}
+}
+
+// TestPreCanceledFoldsAndScansSkipCombine is the regression test for scans
+// under a pre-canceled policy with several chunks: phase 1 writes no chunk
+// total, so a driver that still ran the offsets pass would combine unset
+// partials. With *int elements and a dereferencing op that is a nil-pointer
+// panic. Every reduction must instead return init and every scan must leave
+// dst unwritten; the token tells the caller to discard both.
+func TestPreCanceledFoldsAndScansSkipCombine(t *testing.T) {
+	pool := native.New(4, native.StrategyStealing)
+	defer pool.Close()
+	tok := &exec.Cancel{}
+	tok.Cancel()
+	p := core.Par(pool).WithGrain(exec.Fine).WithCancel(tok)
+	const n = 1024
+	if c := p.Chunks(n).Len(); c < 3 {
+		t.Fatalf("want >= 3 chunks, policy gives %d", c)
+	}
+	src := make([]*int, n)
+	for i := range src {
+		v := i
+		src[i] = &v
+	}
+	add := func(a, b *int) *int { v := *a + *b; return &v }
+	id := func(v *int) *int { return v }
+	init := new(int)
+
+	cases := []struct {
+		name string
+		run  func(dst []*int) *int // returns the reduction, nil for scans
+		want *int
+	}{
+		{"InclusiveScan", func(dst []*int) *int { core.InclusiveScan(p, dst, src, add); return nil }, nil},
+		{"ExclusiveScan", func(dst []*int) *int { core.ExclusiveScan(p, dst, src, init, add); return nil }, nil},
+		{"TransformInclusiveScan", func(dst []*int) *int { core.TransformInclusiveScan(p, dst, src, add, id); return nil }, nil},
+		{"TransformExclusiveScan", func(dst []*int) *int { core.TransformExclusiveScan(p, dst, src, init, add, id); return nil }, nil},
+		{"Reduce", func([]*int) *int { return core.Reduce(p, src, init, add) }, init},
+		{"pipeline.Scan", func(dst []*int) *int { pipeline.From(src).Scan(p, dst, add); return nil }, nil},
+		{"pipeline.Reduce", func([]*int) *int { return pipeline.From(src).Reduce(p, init, add) }, init},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked under a pre-canceled policy: %v", r)
+				}
+			}()
+			dst := make([]*int, n)
+			if got := tc.run(dst); got != tc.want {
+				t.Fatalf("result %p, want %p", got, tc.want)
+			}
+			for i, v := range dst {
+				if v != nil {
+					t.Fatalf("dst[%d] written under a pre-canceled policy", i)
+				}
+			}
+			if !p.Canceled() {
+				t.Fatal("token must still report canceled")
+			}
+		})
 	}
 }

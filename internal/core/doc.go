@@ -55,6 +55,18 @@ package core
 //	transform_reduce            TransformReduce / TransformReduceBinary
 //	unique                      Unique
 //
+// Every reduction and scan runs through one chunk-fold engine (fold.go):
+// FoldChunks drives Reduce, Sum, TransformReduce(Binary), CountIf and the
+// min/max searches, and ScanChunks drives the four inclusive/exclusive
+// scans and InclusiveSum. Sum, InclusiveSum and Reduce fold each chunk in
+// four interleaved stripes, with + inlined for the Number forms, which
+// lifts the closure-per-element cost the identity-transform chain used to
+// pay. internal/pipeline's terminals call the same drivers with the
+// exported StripedSum/StripedFold over their fused evaluator; only its
+// From/Generate + two-map Sum loops stay hand-specialised, because the
+// general evaluator costs one more indirect call per element there. See
+// DESIGN.md §9.
+//
 // Not applicable in Go (no raw-memory object lifetimes): destroy,
 // destroy_n, uninitialized_*. Go's garbage-collected slices make these
 // no-ops; callers simply allocate with make.

@@ -16,17 +16,13 @@ func MaxElement[T any](p Policy, s []T, less func(a, b T) bool) int {
 // C++ returns the *first* of equal maxima, which the strict "is better"
 // predicate below preserves across chunk combination.
 func extremeElement[T any](p Policy, s []T, less func(a, b T) bool, wantMax bool) int {
-	n := len(s)
-	if n == 0 {
-		return -1
-	}
 	better := func(a, b T) bool { // a strictly better than b
 		if wantMax {
 			return less(b, a)
 		}
 		return less(a, b)
 	}
-	seqScan := func(lo, hi int) int {
+	return FoldChunks(p, len(s), -1, func(lo, hi int) int {
 		best := lo
 		for i := lo + 1; i < hi; i++ {
 			if better(s[i], s[best]) {
@@ -34,34 +30,20 @@ func extremeElement[T any](p Policy, s []T, less func(a, b T) bool, wantMax bool
 			}
 		}
 		return best
-	}
-	if !p.parallel(n) {
-		return seqScan(0, n)
-	}
-	chunks := p.Chunks(n)
-	partial := make([]int, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		partial[ci] = seqScan(chunks.At(ci).Lo, chunks.At(ci).Hi)
-	})
-	best := partial[0]
-	for _, idx := range partial[1:] {
-		if better(s[idx], s[best]) {
-			best = idx
+	}, func(best, idx int) int {
+		if best < 0 || better(s[idx], s[best]) {
+			return idx
 		}
-	}
-	return best
+		return best
+	})
 }
 
 // MinMaxElement returns the indices of the first minimum and the last
 // maximum element of s under less, or (-1, -1) for an empty slice
 // (std::minmax_element, which returns the *last* maximum).
 func MinMaxElement[T any](p Policy, s []T, less func(a, b T) bool) (minIdx, maxIdx int) {
-	n := len(s)
-	if n == 0 {
-		return -1, -1
-	}
 	type mm struct{ lo, hi int }
-	seqScan := func(lo, hi int) mm {
+	res := FoldChunks(p, len(s), mm{-1, -1}, func(lo, hi int) mm {
 		r := mm{lo, lo}
 		for i := lo + 1; i < hi; i++ {
 			if less(s[i], s[r.lo]) {
@@ -72,24 +54,17 @@ func MinMaxElement[T any](p Policy, s []T, less func(a, b T) bool) (minIdx, maxI
 			}
 		}
 		return r
-	}
-	if !p.parallel(n) {
-		r := seqScan(0, n)
-		return r.lo, r.hi
-	}
-	chunks := p.Chunks(n)
-	partial := make([]mm, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		partial[ci] = seqScan(chunks.At(ci).Lo, chunks.At(ci).Hi)
-	})
-	best := partial[0]
-	for _, r := range partial[1:] {
+	}, func(best, r mm) mm {
+		if best.lo < 0 {
+			return r
+		}
 		if less(s[r.lo], s[best.lo]) {
 			best.lo = r.lo
 		}
 		if !less(s[r.hi], s[best.hi]) {
 			best.hi = r.hi
 		}
-	}
-	return best.lo, best.hi
+		return best
+	})
+	return res.lo, res.hi
 }

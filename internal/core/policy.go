@@ -159,9 +159,10 @@ func (p Policy) grain(n int) exec.Grain {
 // [0, n) under a policy: chunk ranges are computed on demand from the grain
 // arithmetic (exec.Grain.ChunkAt) instead of materializing a []exec.Range
 // per call, keeping the multi-phase algorithms off the allocator for the
-// decomposition itself. Exported, together with Chunks/ForEachChunk/
-// ParallelFor, as the dispatch surface layered executors build on — the
-// fused pipelines of internal/pipeline compile onto exactly this.
+// decomposition itself. It is the decomposition the fold drivers
+// (FoldChunks, ScanChunks) run every phase on; layered executors such as
+// the fused pipelines of internal/pipeline build on those drivers and on
+// ParallelFor rather than on the chunk set directly.
 type ChunkSet struct {
 	grain exec.Grain
 	n     int

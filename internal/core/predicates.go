@@ -26,32 +26,15 @@ func Count[T comparable](p Policy, s []T, v T) int {
 // (std::count_if). Per-chunk partial counts are combined in chunk order,
 // so the result is deterministic.
 func CountIf[T any](p Policy, s []T, pred func(T) bool) int {
-	n := len(s)
-	if !p.parallel(n) {
+	return FoldChunks(p, len(s), 0, func(lo, hi int) int {
 		c := 0
-		for _, e := range s {
+		for _, e := range s[lo:hi] {
 			if pred(e) {
 				c++
 			}
 		}
 		return c
-	}
-	chunks := p.Chunks(n)
-	partial := make([]int, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := 0
-		for _, e := range s[chunks.At(ci).Lo:chunks.At(ci).Hi] {
-			if pred(e) {
-				c++
-			}
-		}
-		partial[ci] = c
-	})
-	total := 0
-	for _, c := range partial {
-		total += c
-	}
-	return total
+	}, add[int])
 }
 
 // Mismatch returns the first index at which a and b differ, or -1 if one is

@@ -1,18 +1,20 @@
 package core
 
 // Reduce combines all elements of s with op, starting from init
-// (std::reduce). op must be associative; as with std::reduce, the
-// combination order is unspecified in parallel mode, but it is
-// deterministic for a fixed policy: per-chunk partials are folded in chunk
-// order.
+// (std::reduce). As with std::reduce, op must be associative and
+// commutative: the combination order is unspecified, since every chunk is
+// folded in four interleaved stripes. It is deterministic for a fixed
+// policy: the stripe layout is fixed and per-chunk partials are folded in
+// chunk order.
 func Reduce[T any](p Policy, s []T, init T, op func(a, b T) T) T {
-	return TransformReduce(p, s, init, op, func(v T) T { return v })
+	return FoldChunks(p, len(s), init, func(lo, hi int) T { return reduceSlice(s[lo:hi], op) }, op)
 }
 
 // Sum returns init plus the sum of all elements of s, the common
-// std::reduce(par, v.begin(), v.end()) case the paper benchmarks.
+// std::reduce(par, v.begin(), v.end()) case the paper benchmarks. It is
+// Reduce with + inlined into the striped fold.
 func Sum[T Number](p Policy, s []T, init T) T {
-	return Reduce(p, s, init, func(a, b T) T { return a + b })
+	return FoldChunks(p, len(s), init, func(lo, hi int) T { return sumSlice(s[lo:hi]) }, add[T])
 }
 
 // Number is the constraint for the arithmetic convenience wrappers.
@@ -24,37 +26,9 @@ type Number interface {
 
 // TransformReduce applies transform to every element and reduces the
 // results with op starting from init (std::transform_reduce, unary form).
+// Each chunk is folded in element order.
 func TransformReduce[T, U any](p Policy, s []T, init U, op func(a, b U) U, transform func(T) U) U {
-	n := len(s)
-	if !p.parallel(n) {
-		acc := init
-		for _, e := range s {
-			acc = op(acc, transform(e))
-		}
-		return acc
-	}
-	chunks := p.Chunks(n)
-	partial := make([]U, chunks.Len())
-	hasVal := make([]bool, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		acc := transform(s[c.Lo])
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(s[i]))
-		}
-		partial[ci] = acc
-		hasVal[ci] = true
-	})
-	acc := init
-	for ci := range partial {
-		if hasVal[ci] {
-			acc = op(acc, partial[ci])
-		}
-	}
-	return acc
+	return FoldChunks(p, len(s), init, transformFold(s, op, transform), op)
 }
 
 // TransformReduceBinary applies transform pairwise to a and b and reduces
@@ -64,34 +38,11 @@ func TransformReduceBinary[T, V, U any](p Policy, a []T, b []V, init U, op func(
 	if len(a) != len(b) {
 		panic("core.TransformReduceBinary: length mismatch")
 	}
-	n := len(a)
-	if !p.parallel(n) {
-		acc := init
-		for i := range a {
+	return FoldChunks(p, len(a), init, func(lo, hi int) U {
+		acc := transform(a[lo], b[lo])
+		for i := lo + 1; i < hi; i++ {
 			acc = op(acc, transform(a[i], b[i]))
 		}
 		return acc
-	}
-	chunks := p.Chunks(n)
-	partial := make([]U, chunks.Len())
-	hasVal := make([]bool, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		acc := transform(a[c.Lo], b[c.Lo])
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(a[i], b[i]))
-		}
-		partial[ci] = acc
-		hasVal[ci] = true
-	})
-	acc := init
-	for ci := range partial {
-		if hasVal[ci] {
-			acc = op(acc, partial[ci])
-		}
-	}
-	return acc
+	}, op)
 }

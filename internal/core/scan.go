@@ -1,11 +1,6 @@
 package core
 
-// The scans are the textbook two-phase parallel prefix: phase 1 reduces
-// every chunk, a short sequential pass turns the chunk sums into chunk
-// offsets, and phase 2 rescans every chunk starting from its offset. The
-// parallel version therefore performs ~2x the work of the sequential scan,
-// which is why the paper's X::inclusive_scan only pays off once the input
-// exceeds the last-level cache (Fig. 5).
+// The scans run on ScanChunks, the two-phase parallel prefix (fold.go).
 
 // InclusiveScan writes the inclusive prefix combination of src into dst
 // using op (std::inclusive_scan): dst[i] = src[0] op ... op src[i].
@@ -16,9 +11,24 @@ func InclusiveScan[T any](p Policy, dst, src []T, op func(a, b T) T) {
 }
 
 // InclusiveSum is InclusiveScan with addition, the default
-// std::inclusive_scan the paper benchmarks.
+// std::inclusive_scan the paper benchmarks. + is inlined into both
+// phases, and phase 1 folds each chunk in Sum's four stripes.
 func InclusiveSum[T Number](p Policy, dst, src []T) {
-	InclusiveScan(p, dst, src, func(a, b T) T { return a + b })
+	if len(dst) != len(src) {
+		panic("core.InclusiveSum: length mismatch")
+	}
+	ScanChunks(p, len(src), func(lo, hi int) T { return sumSlice(src[lo:hi]) }, add[T],
+		func(lo, hi int, carry T, ok bool) {
+			acc := src[lo]
+			if ok {
+				acc = carry + acc
+			}
+			dst[lo] = acc
+			for i := lo + 1; i < hi; i++ {
+				acc += src[i]
+				dst[i] = acc
+			}
+		})
 }
 
 // TransformInclusiveScan writes the inclusive prefix combination of
@@ -27,54 +37,18 @@ func TransformInclusiveScan[T, U any](p Policy, dst []U, src []T, op func(a, b U
 	if len(dst) != len(src) {
 		panic("core.TransformInclusiveScan: length mismatch")
 	}
-	n := len(src)
-	if n == 0 {
-		return
-	}
-	if !p.parallel(n) {
-		acc := transform(src[0])
-		dst[0] = acc
-		for i := 1; i < n; i++ {
-			acc = op(acc, transform(src[i]))
-			dst[i] = acc
-		}
-		return
-	}
-	chunks := p.Chunks(n)
-	sums := make([]U, chunks.Len())
-	// Phase 1: reduce every chunk.
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		acc := transform(src[c.Lo])
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(src[i]))
-		}
-		sums[ci] = acc
-	})
-	// Sequential pass: exclusive prefix of the chunk sums.
-	offsets := make([]U, chunks.Len())
-	for ci := 1; ci < chunks.Len(); ci++ {
-		if ci == 1 {
-			offsets[1] = sums[0]
-		} else {
-			offsets[ci] = op(offsets[ci-1], sums[ci-1])
-		}
-	}
-	// Phase 2: rescan every chunk from its offset.
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		var acc U
-		if ci == 0 {
-			acc = transform(src[c.Lo])
-		} else {
-			acc = op(offsets[ci], transform(src[c.Lo]))
-		}
-		dst[c.Lo] = acc
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(src[i]))
-			dst[i] = acc
-		}
-	})
+	ScanChunks(p, len(src), transformFold(src, op, transform), op,
+		func(lo, hi int, carry U, ok bool) {
+			acc := transform(src[lo])
+			if ok {
+				acc = op(carry, acc)
+			}
+			dst[lo] = acc
+			for i := lo + 1; i < hi; i++ {
+				acc = op(acc, transform(src[i]))
+				dst[i] = acc
+			}
+		})
 }
 
 // ExclusiveScan writes the exclusive prefix combination of src into dst
@@ -91,43 +65,18 @@ func TransformExclusiveScan[T, U any](p Policy, dst []U, src []T, init U, op fun
 	if len(dst) != len(src) {
 		panic("core.TransformExclusiveScan: length mismatch")
 	}
-	n := len(src)
-	if n == 0 {
-		return
-	}
-	if !p.parallel(n) {
-		acc := init
-		for i := 0; i < n; i++ {
-			next := op(acc, transform(src[i]))
-			dst[i] = acc
-			acc = next
-		}
-		return
-	}
-	chunks := p.Chunks(n)
-	sums := make([]U, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		acc := transform(src[c.Lo])
-		for i := c.Lo + 1; i < c.Hi; i++ {
-			acc = op(acc, transform(src[i]))
-		}
-		sums[ci] = acc
-	})
-	offsets := make([]U, chunks.Len())
-	offsets[0] = init
-	for ci := 1; ci < chunks.Len(); ci++ {
-		offsets[ci] = op(offsets[ci-1], sums[ci-1])
-	}
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		acc := offsets[ci]
-		for i := c.Lo; i < c.Hi; i++ {
-			next := op(acc, transform(src[i]))
-			dst[i] = acc
-			acc = next
-		}
-	})
+	ScanChunks(p, len(src), transformFold(src, op, transform), op,
+		func(lo, hi int, carry U, ok bool) {
+			acc := init
+			if ok {
+				acc = op(init, carry)
+			}
+			for i := lo; i < hi; i++ {
+				next := op(acc, transform(src[i]))
+				dst[i] = acc
+				acc = next
+			}
+		})
 }
 
 // AdjacentDifference writes dst[0] = src[0] and dst[i] = op(src[i],

@@ -25,13 +25,13 @@ import (
 //  1. Prediction: the discrete-event simulator executes staged and fused
 //     chain skeletons (skeleton.StagedChainPhases / FusedChainPhases) on
 //     the modeled machine, predicting the DRAM-traffic drop and the time
-//     ratio at bandwidth-bound sizes — a 3-stage reduce-terminated chain
-//     should cut traffic ~7x and time toward the traffic ratio as the
-//     chain becomes memory-bound.
+//     ratio at bandwidth-bound sizes — a reduce-terminated chain of a
+//     source plus two maps should cut traffic ~7x and time toward the
+//     traffic ratio as the chain becomes memory-bound.
 //  2. Measurement: the same chains run natively — separate core.* passes
 //     with a materialized intermediate vs one pipeline.Sum pass — on the
 //     real pool. The acceptance bar is a >= 2x wall-time reduction for
-//     the 3-stage chain.
+//     the source-plus-two-maps chain.
 //  3. Batching: per-job overhead of flooding a Server with small jobs,
 //     individual dispatch vs the batched small-job fast path.
 func ExtensionFusion(cfg Config) *Report {
@@ -99,7 +99,7 @@ func fusionPredicted(cfg Config, rep *Report) {
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"prediction: the 3-stage reduce chain cuts per-element traffic from %g to %g bytes (write-allocate accounting) and the simulator predicts a %.2fx speedup at the bandwidth-bound size — the ceiling the measured run below is compared against",
+		"prediction: the source+2-map reduce chain cuts per-element traffic from %g to %g bytes (write-allocate accounting) and the simulator predicts a %.2fx speedup at the bandwidth-bound size — the ceiling the measured run below is compared against",
 		skeleton.Chain{Stages: 2, Terminal: "reduce"}.StagedBytesPerElem(),
 		skeleton.Chain{Stages: 2, Terminal: "reduce"}.FusedBytesPerElem(), headline))
 }
@@ -119,7 +119,7 @@ func runChainSim(m *machine.Machine, b *backend.Backend, w skeleton.Workload,
 	}, phases, skeleton.ChainWorkingSet(w, c, fused), parallel)
 }
 
-// fusionMeasured times the 3-stage sum chain natively: staged core passes
+// fusionMeasured times the source+2-map sum chain natively: staged core passes
 // vs the fused pipeline, slice and generated sources.
 func fusionMeasured(cfg Config, rep *Report) {
 	n := 1 << 22
@@ -200,7 +200,7 @@ func fusionMeasured(cfg Config, rep *Report) {
 	}
 	rep.Tables = append(rep.Tables, t)
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
-		"measured: the 3-stage slice-source chain runs %.2fx faster fused (acceptance bar: 2x); the win combines the modeled traffic drop with one loop's worth of per-element call overhead instead of three",
+		"measured: the slice-source+2-map chain runs %.2fx faster fused (acceptance bar: 2x); the win combines the modeled traffic drop with one loop's worth of per-element call overhead instead of three",
 		headline))
 }
 

@@ -137,35 +137,23 @@ func values(evs []Event) *pipeline.Pipeline[float64] {
 }
 
 // wordCounts groups events by Key, counting occurrences — the wordcount
-// shuffle. Parallel runs build one map per chunk and merge; int counts
-// make the merged result independent of chunk boundaries.
+// shuffle. Parallel runs build one map per chunk and merge them in chunk
+// order; int counts make the merged result independent of chunk
+// boundaries.
 func wordCounts(p core.Policy, evs []Event) map[string]int64 {
-	n := len(evs)
-	if !p.ShouldParallelize(n) {
+	return core.FoldChunks(p, len(evs), nil, func(lo, hi int) map[string]int64 {
 		m := make(map[string]int64)
-		for i := range evs {
+		for i := lo; i < hi; i++ {
 			m[evs[i].Key]++
 		}
 		return m
-	}
-	chunks := p.Chunks(n)
-	parts := make([]map[string]int64, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
+	}, func(into, m map[string]int64) map[string]int64 {
+		if into == nil {
+			return m
 		}
-		m := make(map[string]int64)
-		for i := c.Lo; i < c.Hi; i++ {
-			m[evs[i].Key]++
-		}
-		parts[ci] = m
-	})
-	out := make(map[string]int64)
-	for _, m := range parts {
 		for k, v := range m {
-			out[k] += v
+			into[k] += v
 		}
-	}
-	return out
+		return into
+	})
 }

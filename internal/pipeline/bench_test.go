@@ -9,12 +9,15 @@ import (
 )
 
 // BenchmarkFusedVsStaged measures the headline claim of the fusion work:
-// 3-stage element-wise chains at a bandwidth-bound size, run as separate
-// core passes with materialized intermediates vs one fused chunk-granular
-// pass. Three shapes: a slice-source chain reduced with a user op, the
-// same chain summed (inlined +, no op callback), and a generate-source
-// chain whose staged form also pays the materialization pass. Picked up by
-// the CI bench-smoke step (-bench=. -benchtime=1x).
+// chains of a source plus two element-wise maps at a bandwidth-bound size,
+// run as separate core passes with materialized intermediates vs one fused
+// chunk-granular pass. Three shapes: a slice-source chain reduced with a
+// user op, the same chain summed (inlined +, no op callback), and a
+// generate-source chain whose staged form also pays the materialization
+// pass. The sum0 rows are the zero-stage baseline: core.Sum and
+// pipeline.Sum over a bare From source run the same fold, so they must
+// time the same. Picked up by the CI bench-smoke step (-bench=.
+// -benchtime=1x).
 func BenchmarkFusedVsStaged(b *testing.B) {
 	const n = 1 << 22 // 32 MiB of float64: past LLC on typical hosts
 	pool := native.New(0, native.StrategyStealing)
@@ -55,6 +58,16 @@ func BenchmarkFusedVsStaged(b *testing.B) {
 	b.Run("sum/fused", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			_ = pipeline.Sum(p, pipeline.From(src).Transform(f).Transform(g), 0)
+		}
+	})
+	b.Run("sum0/core", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = core.Sum(p, src, 0)
+		}
+	})
+	b.Run("sum0/pipeline", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			_ = pipeline.Sum(p, pipeline.From(src), 0)
 		}
 	})
 	b.Run("gen/staged", func(b *testing.B) {

@@ -17,11 +17,12 @@
 //
 // evaluates f∘g per element inside ONE chunk-granular loop: one pool
 // submission, one memory sweep, no intermediate arrays. Chains compile
-// down to the same exported core dispatch surface the staged algorithms
-// use (Policy.ParallelFor / Chunks / ForEachChunk), so per-chunk
-// cancellation, grain sources, and the seq-threshold gate behave
-// identically — every fused chain is element-wise equivalent to its
-// staged core.* composition, which the property tests pin.
+// down to the same exported core surface the staged algorithms use
+// (core.FoldChunks / ScanChunks for the folds and scans, Policy.ParallelFor
+// for Copy and Each), so per-chunk cancellation, grain sources, and the
+// seq-threshold gate behave identically — every fused chain is
+// element-wise equivalent to its staged core.* composition, which the
+// property tests pin.
 //
 // Fusion rules: only 1:1 element-wise stages fuse (Transform/Map,
 // TransformIndexed, and the type-changing MapTo). Terminals that need a
@@ -52,11 +53,11 @@ type Pipeline[T any] struct {
 	gen    func(i int) T // Generate source (nil for From)
 	stages []func(i int, v T) T
 	// plain[k] is stage k's index-free form when it has one (Transform/
-	// Map), nil for TransformIndexed. All-plain chains over a slice source
-	// compile to loops that call the user functions directly — one
-	// indirect call per stage per element, nothing else — which is what
-	// keeps the fused pass cheaper than the staged one even where the
-	// generic-dictionary call overhead rivals the DRAM cost per element.
+	// Map), nil for TransformIndexed. eval composes all-plain chains from
+	// these directly — one indirect call per stage per element, no
+	// index-taking wrapper — which is what keeps the fused pass cheaper
+	// than the staged one even where the generic-dictionary call overhead
+	// rivals the DRAM cost per element.
 	plain []func(v T) T
 	names []string // signature parts: source, then one per stage
 	tuner *tune.Tuner
@@ -150,11 +151,12 @@ func MapTo[T, U any](pl *Pipeline[T], f func(v T) U) *Pipeline[U] {
 	}
 }
 
-// eval compiles the chain into a single per-element evaluator. Short
-// chains are specialized per (source, stage count) so the hot loop pays
-// one indirect call per stage — no generic load wrapper, no stage-slice
-// walk — which is what lets the fused pass win on memory traffic instead
-// of giving the saving back as call overhead.
+// eval compiles the chain into a single per-element evaluator, the one
+// the general terminal loops call. All-plain chains of up to three stages
+// compose the user functions directly, so the evaluator pays one indirect
+// call per stage and no index-taking wrapper; a zero-stage Generate chain
+// returns gen itself, so its loops run exactly as a hand-written loop
+// over gen would. Other chains compose the indexed stage forms.
 func (pl *Pipeline[T]) eval() func(i int) T {
 	if pl.allPlain() {
 		if src := pl.src; src != nil {
@@ -219,554 +221,86 @@ func (pl *Pipeline[T]) eval() func(i int) T {
 	}
 }
 
-// folder compiles the chain + op into a fold over a non-empty index range.
-// Within the range the fold runs four interleaved accumulator stripes —
-// op must be associative (the std::reduce contract core.Reduce already
-// states) and the striping breaks the loop-carried dependence through the
-// non-inlinable op call, which otherwise serializes one call+ALU latency
-// per element. The stripe layout is fixed, so results stay deterministic
-// for a fixed policy. Slice-source all-plain chains get fully specialized
-// loops that call the user stages directly: one indirect call per stage
-// per element is the entire per-element cost beyond the memory sweep.
-func (pl *Pipeline[T]) folder(op func(a, b T) T) func(lo, hi int) T {
-	if pl.src != nil && pl.allPlain() {
-		src := pl.src
-		switch len(pl.stages) {
-		case 0:
-			return func(lo, hi int) T {
-				if hi-lo < 8 {
-					acc := src[lo]
-					for i := lo + 1; i < hi; i++ {
-						acc = op(acc, src[i])
-					}
-					return acc
-				}
-				a0, a1, a2, a3 := src[lo], src[lo+1], src[lo+2], src[lo+3]
-				i := lo + 4
-				for ; i+3 < hi; i += 4 {
-					a0 = op(a0, src[i])
-					a1 = op(a1, src[i+1])
-					a2 = op(a2, src[i+2])
-					a3 = op(a3, src[i+3])
-				}
-				acc := op(op(a0, a1), op(a2, a3))
-				for ; i < hi; i++ {
-					acc = op(acc, src[i])
-				}
-				return acc
-			}
-		case 1:
-			f0 := pl.plain[0]
-			return func(lo, hi int) T {
-				if hi-lo < 8 {
-					acc := f0(src[lo])
-					for i := lo + 1; i < hi; i++ {
-						acc = op(acc, f0(src[i]))
-					}
-					return acc
-				}
-				a0, a1, a2, a3 := f0(src[lo]), f0(src[lo+1]), f0(src[lo+2]), f0(src[lo+3])
-				i := lo + 4
-				for ; i+3 < hi; i += 4 {
-					a0 = op(a0, f0(src[i]))
-					a1 = op(a1, f0(src[i+1]))
-					a2 = op(a2, f0(src[i+2]))
-					a3 = op(a3, f0(src[i+3]))
-				}
-				acc := op(op(a0, a1), op(a2, a3))
-				for ; i < hi; i++ {
-					acc = op(acc, f0(src[i]))
-				}
-				return acc
-			}
-		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
-			return func(lo, hi int) T {
-				if hi-lo < 8 {
-					acc := f1(f0(src[lo]))
-					for i := lo + 1; i < hi; i++ {
-						acc = op(acc, f1(f0(src[i])))
-					}
-					return acc
-				}
-				a0, a1, a2, a3 := f1(f0(src[lo])), f1(f0(src[lo+1])), f1(f0(src[lo+2])), f1(f0(src[lo+3]))
-				i := lo + 4
-				for ; i+3 < hi; i += 4 {
-					a0 = op(a0, f1(f0(src[i])))
-					a1 = op(a1, f1(f0(src[i+1])))
-					a2 = op(a2, f1(f0(src[i+2])))
-					a3 = op(a3, f1(f0(src[i+3])))
-				}
-				acc := op(op(a0, a1), op(a2, a3))
-				for ; i < hi; i++ {
-					acc = op(acc, f1(f0(src[i])))
-				}
-				return acc
-			}
-		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
-			return func(lo, hi int) T {
-				if hi-lo < 8 {
-					acc := f2(f1(f0(src[lo])))
-					for i := lo + 1; i < hi; i++ {
-						acc = op(acc, f2(f1(f0(src[i]))))
-					}
-					return acc
-				}
-				a0, a1, a2, a3 := f2(f1(f0(src[lo]))), f2(f1(f0(src[lo+1]))), f2(f1(f0(src[lo+2]))), f2(f1(f0(src[lo+3])))
-				i := lo + 4
-				for ; i+3 < hi; i += 4 {
-					a0 = op(a0, f2(f1(f0(src[i]))))
-					a1 = op(a1, f2(f1(f0(src[i+1]))))
-					a2 = op(a2, f2(f1(f0(src[i+2]))))
-					a3 = op(a3, f2(f1(f0(src[i+3]))))
-				}
-				acc := op(op(a0, a1), op(a2, a3))
-				for ; i < hi; i++ {
-					acc = op(acc, f2(f1(f0(src[i]))))
-				}
-				return acc
-			}
-		}
-	}
-	if pl.gen != nil && pl.allPlain() {
-		gen := pl.gen
-		switch len(pl.stages) {
-		case 0:
-			return func(lo, hi int) T {
-				if hi-lo < 8 {
-					acc := gen(lo)
-					for i := lo + 1; i < hi; i++ {
-						acc = op(acc, gen(i))
-					}
-					return acc
-				}
-				a0, a1, a2, a3 := gen(lo), gen(lo+1), gen(lo+2), gen(lo+3)
-				i := lo + 4
-				for ; i+3 < hi; i += 4 {
-					a0 = op(a0, gen(i))
-					a1 = op(a1, gen(i+1))
-					a2 = op(a2, gen(i+2))
-					a3 = op(a3, gen(i+3))
-				}
-				acc := op(op(a0, a1), op(a2, a3))
-				for ; i < hi; i++ {
-					acc = op(acc, gen(i))
-				}
-				return acc
-			}
-		case 1:
-			f0 := pl.plain[0]
-			return func(lo, hi int) T {
-				if hi-lo < 8 {
-					acc := f0(gen(lo))
-					for i := lo + 1; i < hi; i++ {
-						acc = op(acc, f0(gen(i)))
-					}
-					return acc
-				}
-				a0, a1, a2, a3 := f0(gen(lo)), f0(gen(lo+1)), f0(gen(lo+2)), f0(gen(lo+3))
-				i := lo + 4
-				for ; i+3 < hi; i += 4 {
-					a0 = op(a0, f0(gen(i)))
-					a1 = op(a1, f0(gen(i+1)))
-					a2 = op(a2, f0(gen(i+2)))
-					a3 = op(a3, f0(gen(i+3)))
-				}
-				acc := op(op(a0, a1), op(a2, a3))
-				for ; i < hi; i++ {
-					acc = op(acc, f0(gen(i)))
-				}
-				return acc
-			}
-		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
-			return func(lo, hi int) T {
-				if hi-lo < 8 {
-					acc := f1(f0(gen(lo)))
-					for i := lo + 1; i < hi; i++ {
-						acc = op(acc, f1(f0(gen(i))))
-					}
-					return acc
-				}
-				a0, a1, a2, a3 := f1(f0(gen(lo))), f1(f0(gen(lo+1))), f1(f0(gen(lo+2))), f1(f0(gen(lo+3)))
-				i := lo + 4
-				for ; i+3 < hi; i += 4 {
-					a0 = op(a0, f1(f0(gen(i))))
-					a1 = op(a1, f1(f0(gen(i+1))))
-					a2 = op(a2, f1(f0(gen(i+2))))
-					a3 = op(a3, f1(f0(gen(i+3))))
-				}
-				acc := op(op(a0, a1), op(a2, a3))
-				for ; i < hi; i++ {
-					acc = op(acc, f1(f0(gen(i))))
-				}
-				return acc
-			}
-		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
-			return func(lo, hi int) T {
-				if hi-lo < 8 {
-					acc := f2(f1(f0(gen(lo))))
-					for i := lo + 1; i < hi; i++ {
-						acc = op(acc, f2(f1(f0(gen(i)))))
-					}
-					return acc
-				}
-				a0, a1, a2, a3 := f2(f1(f0(gen(lo)))), f2(f1(f0(gen(lo+1)))), f2(f1(f0(gen(lo+2)))), f2(f1(f0(gen(lo+3))))
-				i := lo + 4
-				for ; i+3 < hi; i += 4 {
-					a0 = op(a0, f2(f1(f0(gen(i)))))
-					a1 = op(a1, f2(f1(f0(gen(i+1)))))
-					a2 = op(a2, f2(f1(f0(gen(i+2)))))
-					a3 = op(a3, f2(f1(f0(gen(i+3)))))
-				}
-				acc := op(op(a0, a1), op(a2, a3))
-				for ; i < hi; i++ {
-					acc = op(acc, f2(f1(f0(gen(i)))))
-				}
-				return acc
-			}
-		}
-	}
-	ev := pl.eval()
-	return func(lo, hi int) T {
-		if hi-lo < 8 {
-			acc := ev(lo)
-			for i := lo + 1; i < hi; i++ {
-				acc = op(acc, ev(i))
-			}
-			return acc
-		}
-		a0, a1, a2, a3 := ev(lo), ev(lo+1), ev(lo+2), ev(lo+3)
-		i := lo + 4
-		for ; i+3 < hi; i += 4 {
-			a0 = op(a0, ev(i))
-			a1 = op(a1, ev(i+1))
-			a2 = op(a2, ev(i+2))
-			a3 = op(a3, ev(i+3))
-		}
-		acc := op(op(a0, a1), op(a2, a3))
-		for ; i < hi; i++ {
-			acc = op(acc, ev(i))
-		}
-		return acc
-	}
-}
-
-// copier compiles the chain into a range writer dst[i] = chain(i) with the
-// same direct-call specializations as folder (no striping: element writes
-// are independent, so the CPU overlaps them on its own).
-func (pl *Pipeline[T]) copier(dst []T) func(lo, hi int) {
-	if pl.src != nil && pl.allPlain() {
-		src := pl.src
-		switch len(pl.stages) {
-		case 0:
-			return func(lo, hi int) { copy(dst[lo:hi], src[lo:hi]) }
-		case 1:
-			f0 := pl.plain[0]
-			return func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f0(src[i])
-				}
-			}
-		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
-			return func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f1(f0(src[i]))
-				}
-			}
-		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
-			return func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f2(f1(f0(src[i])))
-				}
-			}
-		}
-	}
-	if pl.gen != nil && pl.allPlain() {
-		gen := pl.gen
-		switch len(pl.stages) {
-		case 0:
-			return func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = gen(i)
-				}
-			}
-		case 1:
-			f0 := pl.plain[0]
-			return func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f0(gen(i))
-				}
-			}
-		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
-			return func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f1(f0(gen(i)))
-				}
-			}
-		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
-			return func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					dst[i] = f2(f1(f0(gen(i))))
-				}
-			}
-		}
-	}
-	ev := pl.eval()
-	return func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			dst[i] = ev(i)
-		}
-	}
-}
-
 // policyFor derives the execution policy of a terminal: the caller's
 // policy, plus the chain-signature tune site when a tuner is attached.
-func (pl *Pipeline[T]) policyFor(p core.Policy, terminal string) (core.Policy, string) {
-	sig := pl.Signature() + "+" + terminal
+func (pl *Pipeline[T]) policyFor(p core.Policy, terminal string) core.Policy {
 	if pl.tuner != nil {
-		p = p.WithGrainSource(pl.tuner.Site(sig))
+		p = p.WithGrainSource(pl.tuner.Site(pl.Signature() + "+" + terminal))
 	}
-	return p, sig
+	return p
 }
 
 // Reduce executes the chain and folds the results with op starting from
-// init (std::transform_reduce over the whole fused chain). op must be
-// associative: like std::reduce the combination order is unspecified
-// (within a chunk the fold runs fixed accumulator stripes, across chunks
-// partials fold in chunk order), but it is deterministic for a fixed
-// policy. Under a
-// canceled policy the result is incomplete and must be discarded
-// (p.Canceled() is the source of truth), exactly as with the staged form.
+// init (std::transform_reduce over the whole fused chain), through
+// core.FoldChunks with core.StripedFold over eval(). As with core.Reduce,
+// op must be associative and commutative: within a chunk the fold runs
+// fixed accumulator stripes, across chunks partials fold in chunk order,
+// so the result is deterministic for a fixed policy. Under a canceled
+// policy the result is incomplete and must be discarded (p.Canceled() is
+// the source of truth), exactly as with the staged form.
 func (pl *Pipeline[T]) Reduce(p core.Policy, init T, op func(a, b T) T) T {
-	p, _ = pl.policyFor(p, "reduce")
-	n := pl.n
-	if n == 0 {
-		return init
-	}
-	fold := pl.folder(op)
-	if !p.ShouldParallelize(n) {
-		return op(init, fold(0, n))
-	}
-	chunks := p.Chunks(n)
-	partial := make([]T, chunks.Len())
-	hasVal := make([]bool, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		partial[ci] = fold(c.Lo, c.Hi)
-		hasVal[ci] = true
-	})
-	acc := init
-	for ci := range partial {
-		if hasVal[ci] {
-			acc = op(acc, partial[ci])
-		}
-	}
-	return acc
+	p = pl.policyFor(p, "reduce")
+	return core.FoldChunks(p, pl.n, init, core.StripedFold(pl.eval(), op), op)
 }
 
 // Sum folds a numeric chain with +, the fused counterpart of core.Sum
 // (the common std::reduce case the paper benchmarks). A free function
 // because methods cannot add the Number constraint — which is exactly what
 // lets it inline the addition: the fold pays zero op-callback calls per
-// element, only the user stages, so a fused sum chain runs at the speed of
-// its source sweep plus one indirect call per stage.
+// element, only the user stages. A zero-stage From chain is core.Sum
+// itself, so both give the same bits.
 func Sum[T core.Number](p core.Policy, pl *Pipeline[T], init T) T {
-	p, _ = pl.policyFor(p, "reduce")
-	n := pl.n
-	if n == 0 {
-		return init
+	p = pl.policyFor(p, "reduce")
+	if pl.src != nil && len(pl.stages) == 0 {
+		return core.Sum(p, pl.src, init)
 	}
-	fold := sumFolder(pl)
-	if !p.ShouldParallelize(n) {
-		return init + fold(0, n)
-	}
-	chunks := p.Chunks(n)
-	partial := make([]T, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		partial[ci] = fold(c.Lo, c.Hi)
-	})
-	acc := init
-	for _, v := range partial {
-		acc += v
-	}
-	return acc
+	return core.FoldChunks(p, pl.n, init, sumFolder(pl), func(a, b T) T { return a + b })
 }
 
-// sumFolder is folder specialized to the + operator: same striping, no op
-// callback. Empty chunks contribute the zero value, which is the identity
-// of +, so no has-value tracking is needed.
+// sumFolder compiles a numeric chain into a range fold for Sum, striped
+// like core.StripedSum. One shape keeps hand-specialised loops that call
+// the user stages directly: a From or Generate source with two plain
+// maps, which the bulk fused_chain benchmark, pstlbench -fused, ext-fusion
+// and the examples run, and where the general loop over eval() pays one
+// more indirect call per element (~115 vs ~74 ms for From, ~135 vs ~87 ms
+// for Generate, at 2^24 float64, sequential, on a 2-vCPU Xeon VM). Every
+// other shape runs core.StripedSum over eval(); for a zero-stage Generate
+// chain that is the loop over gen itself.
 func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
-	if pl.src != nil && pl.allPlain() {
-		src := pl.src
-		switch len(pl.stages) {
-		case 0:
-			return func(lo, hi int) T {
-				var a0, a1, a2, a3 T
-				i := lo
-				for ; i+3 < hi; i += 4 {
-					a0 += src[i]
-					a1 += src[i+1]
-					a2 += src[i+2]
-					a3 += src[i+3]
-				}
-				acc := a0 + a1 + a2 + a3
-				for ; i < hi; i++ {
-					acc += src[i]
-				}
-				return acc
+	if len(pl.stages) != 2 || !pl.allPlain() {
+		return core.StripedSum(pl.eval())
+	}
+	f0, f1 := pl.plain[0], pl.plain[1]
+	if src := pl.src; src != nil {
+		return func(lo, hi int) T {
+			var a0, a1, a2, a3 T
+			i := lo
+			for ; i+3 < hi; i += 4 {
+				a0 += f1(f0(src[i]))
+				a1 += f1(f0(src[i+1]))
+				a2 += f1(f0(src[i+2]))
+				a3 += f1(f0(src[i+3]))
 			}
-		case 1:
-			f0 := pl.plain[0]
-			return func(lo, hi int) T {
-				var a0, a1, a2, a3 T
-				i := lo
-				for ; i+3 < hi; i += 4 {
-					a0 += f0(src[i])
-					a1 += f0(src[i+1])
-					a2 += f0(src[i+2])
-					a3 += f0(src[i+3])
-				}
-				acc := a0 + a1 + a2 + a3
-				for ; i < hi; i++ {
-					acc += f0(src[i])
-				}
-				return acc
+			acc := (a0 + a1) + (a2 + a3)
+			for ; i < hi; i++ {
+				acc += f1(f0(src[i]))
 			}
-		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
-			return func(lo, hi int) T {
-				var a0, a1, a2, a3 T
-				i := lo
-				for ; i+3 < hi; i += 4 {
-					a0 += f1(f0(src[i]))
-					a1 += f1(f0(src[i+1]))
-					a2 += f1(f0(src[i+2]))
-					a3 += f1(f0(src[i+3]))
-				}
-				acc := a0 + a1 + a2 + a3
-				for ; i < hi; i++ {
-					acc += f1(f0(src[i]))
-				}
-				return acc
-			}
-		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
-			return func(lo, hi int) T {
-				var a0, a1, a2, a3 T
-				i := lo
-				for ; i+3 < hi; i += 4 {
-					a0 += f2(f1(f0(src[i])))
-					a1 += f2(f1(f0(src[i+1])))
-					a2 += f2(f1(f0(src[i+2])))
-					a3 += f2(f1(f0(src[i+3])))
-				}
-				acc := a0 + a1 + a2 + a3
-				for ; i < hi; i++ {
-					acc += f2(f1(f0(src[i])))
-				}
-				return acc
-			}
+			return acc
 		}
 	}
-	if pl.gen != nil && pl.allPlain() {
-		gen := pl.gen
-		switch len(pl.stages) {
-		case 0:
-			return func(lo, hi int) T {
-				var a0, a1, a2, a3 T
-				i := lo
-				for ; i+3 < hi; i += 4 {
-					a0 += gen(i)
-					a1 += gen(i + 1)
-					a2 += gen(i + 2)
-					a3 += gen(i + 3)
-				}
-				acc := a0 + a1 + a2 + a3
-				for ; i < hi; i++ {
-					acc += gen(i)
-				}
-				return acc
-			}
-		case 1:
-			f0 := pl.plain[0]
-			return func(lo, hi int) T {
-				var a0, a1, a2, a3 T
-				i := lo
-				for ; i+3 < hi; i += 4 {
-					a0 += f0(gen(i))
-					a1 += f0(gen(i + 1))
-					a2 += f0(gen(i + 2))
-					a3 += f0(gen(i + 3))
-				}
-				acc := a0 + a1 + a2 + a3
-				for ; i < hi; i++ {
-					acc += f0(gen(i))
-				}
-				return acc
-			}
-		case 2:
-			f0, f1 := pl.plain[0], pl.plain[1]
-			return func(lo, hi int) T {
-				var a0, a1, a2, a3 T
-				i := lo
-				for ; i+3 < hi; i += 4 {
-					a0 += f1(f0(gen(i)))
-					a1 += f1(f0(gen(i + 1)))
-					a2 += f1(f0(gen(i + 2)))
-					a3 += f1(f0(gen(i + 3)))
-				}
-				acc := a0 + a1 + a2 + a3
-				for ; i < hi; i++ {
-					acc += f1(f0(gen(i)))
-				}
-				return acc
-			}
-		case 3:
-			f0, f1, f2 := pl.plain[0], pl.plain[1], pl.plain[2]
-			return func(lo, hi int) T {
-				var a0, a1, a2, a3 T
-				i := lo
-				for ; i+3 < hi; i += 4 {
-					a0 += f2(f1(f0(gen(i))))
-					a1 += f2(f1(f0(gen(i + 1))))
-					a2 += f2(f1(f0(gen(i + 2))))
-					a3 += f2(f1(f0(gen(i + 3))))
-				}
-				acc := a0 + a1 + a2 + a3
-				for ; i < hi; i++ {
-					acc += f2(f1(f0(gen(i))))
-				}
-				return acc
-			}
-		}
-	}
-	ev := pl.eval()
+	gen := pl.gen
 	return func(lo, hi int) T {
 		var a0, a1, a2, a3 T
 		i := lo
 		for ; i+3 < hi; i += 4 {
-			a0 += ev(i)
-			a1 += ev(i + 1)
-			a2 += ev(i + 2)
-			a3 += ev(i + 3)
+			a0 += f1(f0(gen(i)))
+			a1 += f1(f0(gen(i + 1)))
+			a2 += f1(f0(gen(i + 2)))
+			a3 += f1(f0(gen(i + 3)))
 		}
-		acc := a0 + a1 + a2 + a3
+		acc := (a0 + a1) + (a2 + a3)
 		for ; i < hi; i++ {
-			acc += ev(i)
+			acc += f1(f0(gen(i)))
 		}
 		return acc
 	}
@@ -777,136 +311,74 @@ func sumFolder[T core.Number](pl *Pipeline[T]) func(lo, hi int) T {
 // and must not alias a From source unless element-wise overwrite is
 // intended (i is written only after being read, within the same index).
 func (pl *Pipeline[T]) Copy(p core.Policy, dst []T) {
-	p, _ = pl.policyFor(p, "copy")
-	n := pl.n
-	_ = dst[:n] // bounds check once, like core.Transform
-	write := pl.copier(dst)
-	if !p.ShouldParallelize(n) {
-		write(0, n)
-		return
-	}
-	p.ParallelFor(n, func(_, lo, hi int) {
-		write(lo, hi)
+	_ = dst[:pl.n] // bounds check once, like core.Transform
+	ev := pl.eval()
+	pl.forRanges(p, "copy", func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			dst[i] = ev(i)
+		}
 	})
 }
 
 // Each executes the chain and calls fn(i, value) per element. fn runs
 // concurrently across chunks and must synchronize any shared writes.
 func (pl *Pipeline[T]) Each(p core.Policy, fn func(i int, v T)) {
-	p, _ = pl.policyFor(p, "each")
-	n := pl.n
 	ev := pl.eval()
-	if !p.ShouldParallelize(n) {
-		for i := 0; i < n; i++ {
-			fn(i, ev(i))
-		}
-		return
-	}
-	p.ParallelFor(n, func(_, lo, hi int) {
+	pl.forRanges(p, "each", func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			fn(i, ev(i))
 		}
 	})
 }
 
+// forRanges runs body over [0, n) under the terminal's policy: in one
+// call sequentially, chunk by chunk on the pool otherwise.
+func (pl *Pipeline[T]) forRanges(p core.Policy, terminal string, body func(lo, hi int)) {
+	p = pl.policyFor(p, terminal)
+	if !p.ShouldParallelize(pl.n) {
+		body(0, pl.n)
+		return
+	}
+	p.ParallelFor(pl.n, func(_, lo, hi int) { body(lo, hi) })
+}
+
 // Count executes the chain and returns how many elements satisfy pred —
 // the fused transform+count_if.
 func (pl *Pipeline[T]) Count(p core.Policy, pred func(v T) bool) int {
-	p, _ = pl.policyFor(p, "count")
-	n := pl.n
+	p = pl.policyFor(p, "count")
 	ev := pl.eval()
-	if !p.ShouldParallelize(n) {
-		total := 0
-		for i := 0; i < n; i++ {
+	return core.FoldChunks(p, pl.n, 0, func(lo, hi int) int {
+		c := 0
+		for i := lo; i < hi; i++ {
 			if pred(ev(i)) {
-				total++
+				c++
 			}
 		}
-		return total
-	}
-	chunks := p.Chunks(n)
-	partial := make([]int, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		count := 0
-		for i := c.Lo; i < c.Hi; i++ {
-			if pred(ev(i)) {
-				count++
-			}
-		}
-		partial[ci] = count
-	})
-	total := 0
-	for _, c := range partial {
-		total += c
-	}
-	return total
+		return c
+	}, func(a, b int) int { return a + b })
 }
 
 // Scan executes the chain and writes its inclusive prefix combination
 // under op into dst (fused transform_inclusive_scan). Scan is a fusion
 // BARRIER: a prefix needs every earlier element, so the parallel form is
-// the same two-phase decomposition core.TransformInclusiveScan uses —
-// phase 1 folds per-chunk sums, phase 2 re-evaluates the chain and adds
-// the chunk offset. The chain is therefore evaluated twice per element;
-// stages must be pure, and for expensive stages a materializing
-// Copy-then-core.InclusiveScan can be cheaper. Both phases derive from ONE
-// chunk decomposition, so adaptive grain sources cannot shear the phases.
+// core.ScanChunks, the two-phase decomposition core's scans use — phase 1
+// folds per-chunk sums, phase 2 re-evaluates the chain from the chunk's
+// carry. The chain is therefore evaluated twice per element; stages must
+// be pure, and for expensive stages a materializing
+// Copy-then-core.InclusiveScan can be cheaper. Phase 1 uses Reduce's
+// striped fold, so op must be associative and commutative; with op = +
+// over a From source the result is core.InclusiveSum's, bit for bit.
 func (pl *Pipeline[T]) Scan(p core.Policy, dst []T, op func(a, b T) T) {
-	p, _ = pl.policyFor(p, "scan")
-	n := pl.n
-	_ = dst[:n]
+	p = pl.policyFor(p, "scan")
+	_ = dst[:pl.n]
 	ev := pl.eval()
-	if n == 0 {
-		return
-	}
-	if !p.ShouldParallelize(n) {
-		acc := ev(0)
-		dst[0] = acc
-		for i := 1; i < n; i++ {
-			acc = op(acc, ev(i))
-			dst[i] = acc
+	core.ScanChunks(p, pl.n, core.StripedFold(ev, op), op, func(lo, hi int, carry T, ok bool) {
+		acc := ev(lo)
+		if ok {
+			acc = op(carry, acc)
 		}
-		return
-	}
-	chunks := p.Chunks(n)
-	fold := pl.folder(op)
-	sums := make([]T, chunks.Len())
-	hasVal := make([]bool, chunks.Len())
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		sums[ci] = fold(c.Lo, c.Hi)
-		hasVal[ci] = true
-	})
-	offsets := make([]T, chunks.Len())
-	hasOff := make([]bool, chunks.Len())
-	for ci := 1; ci < chunks.Len(); ci++ {
-		hasOff[ci] = hasOff[ci-1] || hasVal[ci-1]
-		if !hasOff[ci] {
-			continue
-		}
-		if hasOff[ci-1] {
-			offsets[ci] = op(offsets[ci-1], sums[ci-1])
-		} else {
-			offsets[ci] = sums[ci-1]
-		}
-	}
-	p.ForEachChunk(chunks, func(ci int) {
-		c := chunks.At(ci)
-		if c.Empty() {
-			return
-		}
-		var acc T
-		if hasOff[ci] {
-			acc = op(offsets[ci], ev(c.Lo))
-		} else {
-			acc = ev(c.Lo)
-		}
-		dst[c.Lo] = acc
-		for i := c.Lo + 1; i < c.Hi; i++ {
+		dst[lo] = acc
+		for i := lo + 1; i < hi; i++ {
 			acc = op(acc, ev(i))
 			dst[i] = acc
 		}
@@ -920,7 +392,7 @@ func (pl *Pipeline[T]) Scan(p core.Policy, dst []T, op func(a, b T) T) {
 // length ≥ n.
 func (pl *Pipeline[T]) Sort(p core.Policy, dst []T, less func(a, b T) bool) {
 	pl.Copy(p, dst)
-	pol, _ := pl.policyFor(p, "sort")
+	pol := pl.policyFor(p, "sort")
 	core.SortFunc(pol, dst[:pl.n], less)
 }
 

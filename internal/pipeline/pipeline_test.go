@@ -1,6 +1,7 @@
 package pipeline_test
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -338,5 +339,46 @@ func TestModelTrafficMonotone(t *testing.T) {
 	}
 	if two.Fused >= two.Staged {
 		t.Fatalf("fused %d not cheaper than staged %d", two.Fused, two.Staged)
+	}
+}
+
+// One fold gives one answer: core and pipeline run the same chunk-fold
+// engine, so over non-integer float64 data (where any difference in
+// association shows up in the low bits) core.Sum and pipeline.Sum of a
+// bare From source agree bit for bit, and so do core.InclusiveSum and a
+// From source scanned with +, under every policy shape.
+func TestCoreAndPipelineFoldsAgreeBitForBit(t *testing.T) {
+	pool := native.New(4, native.StrategyStealing)
+	t.Cleanup(pool.Close)
+	policies := []struct {
+		name string
+		p    core.Policy
+	}{
+		{"Seq", core.Seq()},
+		{"Par", core.Par(pool)},
+		{"Fine", core.Par(pool).WithGrain(exec.Fine)},
+		{"Guided", core.Par(pool).WithGrain(exec.Guided)},
+	}
+	add := func(a, b float64) float64 { return a + b }
+	for _, pc := range policies {
+		for _, n := range []int{1, 3, 4, 7, 1000, 100000} {
+			s := make([]float64, n)
+			for i := range s {
+				s[i] = 1 / float64(i+1)
+			}
+			cs, ps := core.Sum(pc.p, s, 0.25), pipeline.Sum(pc.p, pipeline.From(s), 0.25)
+			if math.Float64bits(cs) != math.Float64bits(ps) {
+				t.Errorf("%s n=%d: core.Sum = %v, pipeline.Sum = %v", pc.name, n, cs, ps)
+			}
+			cd, pd := make([]float64, n), make([]float64, n)
+			core.InclusiveSum(pc.p, cd, s)
+			pipeline.From(s).Scan(pc.p, pd, add)
+			for i := range cd {
+				if math.Float64bits(cd[i]) != math.Float64bits(pd[i]) {
+					t.Errorf("%s n=%d: InclusiveSum[%d] = %v, pipeline Scan = %v", pc.name, n, i, cd[i], pd[i])
+					break
+				}
+			}
+		}
 	}
 }
