@@ -67,6 +67,16 @@ package core
 // general evaluator costs one more indirect call per element there. See
 // DESIGN.md §9.
 //
+// Every early-exit search runs through one block-scanning engine
+// (findFirst in find.go): Find, FindIf(Not), FindFirstOf, AdjacentFind,
+// Search, SearchN, FindEnd (over the mirrored index space), Mismatch(Func),
+// LexicographicalCompare and IsHeapUntil each pass a range loop that
+// returns the first match in [lo, hi), which the engine runs on findBlock
+// blocks between checks of the shared best-index bound. Sort, SortFunc and
+// StableSort share one mergesort that takes its leaf sort as a function:
+// Sort's leaf is slices.Sort and its merges use cmp.Less, so Sort orders
+// NaNs first, as slices.Sort does.
+//
 // Not applicable in Go (no raw-memory object lifetimes): destroy,
 // destroy_n, uninitialized_*. Go's garbage-collected slices make these
 // no-ops; callers simply allocate with make.

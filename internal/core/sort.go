@@ -13,35 +13,37 @@ import (
 const sortLeafSize = 1 << 12
 
 // Sort sorts s in ascending order (std::sort with execution policy). The
-// parallel implementation is a stable mergesort — sequential leaf sorts
-// followed by log(p) rounds of parallel merges — whose limited scalability
-// is exactly the behaviour studied in the paper's X::sort experiments.
+// parallel implementation is a mergesort — slices.Sort leaf sorts followed
+// by log(p) rounds of parallel merges under cmp.Less — whose limited
+// scalability is exactly the behaviour studied in the paper's X::sort
+// experiments. Sort orders elements as slices.Sort does: NaNs first, -0
+// and +0 equal. It is not stable.
 func Sort[T cmp.Ordered](p Policy, s []T) {
-	SortFunc(p, s, func(a, b T) bool { return a < b })
+	sortWith(p, s, cmp.Less[T], slices.Sort[[]T])
 }
 
 // SortFunc sorts s under the strict weak ordering less.
 func SortFunc[T any](p Policy, s []T, less func(a, b T) bool) {
-	n := len(s)
-	if !p.parallel(n) || n <= sortLeafSize {
-		slices.SortFunc(s, lessToCmp(less))
-		return
-	}
-	tmp := make([]T, n)
-	parallelMergeSort(p, s, tmp, less, mergeDepth(p.workers()), false)
+	sortWith(p, s, less, func(s []T) { slices.SortFunc(s, lessToCmp(less)) })
 }
 
 // StableSort sorts s preserving the relative order of equal elements
-// (std::stable_sort). The parallel mergesort is naturally stable; only the
-// leaf sort differs from SortFunc.
+// (std::stable_sort). The parallel merges are stable; only the leaf sort
+// differs from SortFunc.
 func StableSort[T any](p Policy, s []T, less func(a, b T) bool) {
+	sortWith(p, s, less, func(s []T) { slices.SortStableFunc(s, lessToCmp(less)) })
+}
+
+// sortWith runs leaf, a sequential sort consistent with less, on the whole
+// of s when the policy is sequential or s fits one leaf, and otherwise the
+// parallel mergesort with leaf at the bottom and less in the merges.
+func sortWith[T any](p Policy, s []T, less func(a, b T) bool, leaf func([]T)) {
 	n := len(s)
 	if !p.parallel(n) || n <= sortLeafSize {
-		slices.SortStableFunc(s, lessToCmp(less))
+		leaf(s)
 		return
 	}
-	tmp := make([]T, n)
-	parallelMergeSort(p, s, tmp, less, mergeDepth(p.workers()), true)
+	parallelMergeSort(p, s, make([]T, n), less, mergeDepth(p.workers()), leaf)
 }
 
 // lessToCmp adapts a less predicate to the three-way comparison the slices
@@ -71,23 +73,19 @@ func mergeDepth(workers int) int {
 }
 
 // parallelMergeSort sorts s in place using tmp (same length) as merge
-// scratch.
-func parallelMergeSort[T any](p Policy, s, tmp []T, less func(a, b T) bool, depth int, stable bool) {
+// scratch, sorting each leaf range with leaf.
+func parallelMergeSort[T any](p Policy, s, tmp []T, less func(a, b T) bool, depth int, leaf func([]T)) {
 	if p.Canceled() {
 		return // abandon the subtree; the result is discarded by contract
 	}
 	if depth == 0 || len(s) <= sortLeafSize {
-		if stable {
-			slices.SortStableFunc(s, lessToCmp(less))
-		} else {
-			slices.SortFunc(s, lessToCmp(less))
-		}
+		leaf(s)
 		return
 	}
 	mid := len(s) / 2
 	p.pool().Do(
-		func() { parallelMergeSort(p, s[:mid], tmp[:mid], less, depth-1, stable) },
-		func() { parallelMergeSort(p, s[mid:], tmp[mid:], less, depth-1, stable) },
+		func() { parallelMergeSort(p, s[:mid], tmp[:mid], less, depth-1, leaf) },
+		func() { parallelMergeSort(p, s[mid:], tmp[mid:], less, depth-1, leaf) },
 	)
 	parallelMergeInto(p, tmp, s[:mid], s[mid:], less, depth)
 	copyChunked(p, s, tmp)
@@ -277,15 +275,20 @@ func medianOfThree[T any](s []T, less func(a, b T) bool) T {
 // IsHeapUntil returns the length of the longest prefix of s that forms a
 // binary max-heap under less (std::is_heap_until).
 func IsHeapUntil[T any](p Policy, s []T, less func(a, b T) bool) int {
-	// Element i violates the heap property if it is greater than its
-	// parent. The first violating child bounds the heap prefix.
+	// Child c violates the heap property if it is greater than its
+	// parent. The engine searches children 1..n-1 at index c-1, and the
+	// first violating child bounds the heap prefix.
 	n := len(s)
 	if n < 2 {
 		return n
 	}
-	i := findFirstIndex(p, n-1, func(child int) bool {
-		c := child + 1
-		return less(s[(c-1)/2], s[c])
+	i := findFirst(p, n-1, func(lo, hi int) int {
+		for c := lo + 1; c <= hi; c++ {
+			if less(s[(c-1)/2], s[c]) {
+				return c - 1
+			}
+		}
+		return -1
 	})
 	if i < 0 {
 		return n

@@ -1,9 +1,14 @@
 package core
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+
+	"pstlbench/internal/exec"
+	"pstlbench/internal/native"
 )
 
 func shuffledPermutation(rng *rand.Rand, n int) []int {
@@ -295,4 +300,90 @@ func TestSortLargeUnderFineGrain(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestSortFloatsMatchesSlicesSort pins Sort's float order to slices.Sort's:
+// NaNs first, -0 and +0 equal. A bare a < b is not a strict weak ordering
+// once NaNs are present, so leaves and merges built on it disagree with
+// slices.Sort. Neither sort is stable, so ±0 may land in either order and
+// elements are compared with cmp.Compare, not by bits.
+func TestSortFloatsMatchesSlicesSort(t *testing.T) {
+	values := []float64{math.NaN(), math.Copysign(0, -1), 0, 1, -1, 2.5,
+		math.Inf(1), math.Inf(-1), 7, 7}
+	policies := []struct {
+		name    string
+		workers int
+		grain   exec.Grain
+	}{
+		{"seq", 0, exec.Grain{}},
+		{"par1", 1, exec.Auto},
+		{"par2/auto", 2, exec.Auto},
+		{"par2/fine", 2, exec.Fine},
+		{"par2/guided", 2, exec.Guided},
+	}
+	for _, pc := range policies {
+		t.Run(pc.name, func(t *testing.T) {
+			p := Seq()
+			if pc.workers > 0 {
+				pool := native.New(pc.workers, native.StrategyStealing)
+				t.Cleanup(pool.Close)
+				p = Par(pool).WithGrain(pc.grain)
+			}
+			rng := rand.New(rand.NewSource(67))
+			for _, n := range []int{0, 1, 2, sortLeafSize, sortLeafSize + 1, 3*sortLeafSize + 7, 1 << 16} {
+				in := make([]float64, n)
+				for i := range in {
+					in[i] = values[rng.Intn(len(values))]
+				}
+				want := slices.Clone(in)
+				slices.Sort(want)
+				got := slices.Clone(in)
+				Sort(p, got)
+				if !sameMultiset(got, in) {
+					t.Fatalf("n=%d: output is not a permutation of the input", n)
+				}
+				for i := range got {
+					if cmp.Compare(got[i], want[i]) != 0 {
+						t.Fatalf("n=%d: s[%d] = %v, slices.Sort has %v", n, i, got[i], want[i])
+					}
+				}
+			}
+		})
+	}
+	t.Run("precanceled", func(t *testing.T) {
+		pool := native.New(2, native.StrategyStealing)
+		t.Cleanup(pool.Close)
+		tok := &exec.Cancel{}
+		tok.Cancel()
+		p := Par(pool).WithCancel(tok)
+		s := make([]float64, 3*sortLeafSize+7)
+		for i := range s {
+			s[i] = values[i%len(values)]
+		}
+		Sort(p, s) // must return without panicking; the result is discarded
+		if !p.Canceled() {
+			t.Fatal("token must still report canceled")
+		}
+	})
+}
+
+// sameMultiset reports whether a and b hold the same float64 values, by bit
+// pattern, with the same multiplicities.
+func sameMultiset(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	count := make(map[uint64]int)
+	for _, v := range a {
+		count[math.Float64bits(v)]++
+	}
+	for _, v := range b {
+		count[math.Float64bits(v)]--
+	}
+	for _, c := range count {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
 }
